@@ -167,6 +167,9 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
       handle->lease_duration = std::chrono::duration_cast<Nanos>(
           grant->until - Now());
       ARKFS_RETURN_IF_ERROR(BecomeLeader(handle, *grant));
+    } else if (grant->token == handle->fence) {
+      // Extension of the live tenure: adopt the manager's new expiry.
+      handle->lease_until = std::max(handle->lease_until, grant->until);
     }
     handle->lame_duck = false;
     return DirRef{handle, {}};
@@ -373,7 +376,7 @@ Status Client::ValidateLeaseLocked(DirHandle& handle) {
 Result<Bytes> Client::HandleDirOp(ByteSpan payload) {
   ARKFS_ASSIGN_OR_RETURN(auto req, wire::DirOpRequest::Decode(payload));
   served_remote_ops_.Add();
-  return ServeDirOp(req).Encode();
+  return ServeDirOp(req, /*forwarded=*/true).Encode();
 }
 
 Result<Bytes> Client::HandleFlushFile(ByteSpan payload) {
@@ -392,7 +395,25 @@ Result<Bytes> Client::HandleFlushFile(ByteSpan payload) {
   return Bytes{};
 }
 
-wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
+void Client::RenewIfDue(const Uuid& dir_ino) {
+  DirHandlePtr handle = HandleFor(dir_ino);
+  std::shared_lock lock(handle->mu);
+  const TimePoint now = Now();
+  const bool renew = handle->leader && now < handle->lease_until &&
+                     handle->lease_until - now <= handle->lease_duration / 4;
+  lock.unlock();
+  if (!renew) return;
+  // The fabric runs a forwarded op on the requester's thread, under its
+  // ambient tenant; the renewal is this leader's own lease traffic, so it
+  // is admitted under this client's tenant, never charged to the
+  // requester's bucket. A failed renewal turns lame duck, or the op itself
+  // reports it.
+  obs::TenantScope own_tenant(config_.tenant);
+  (void)EnsureDirAccess(dir_ino);
+}
+
+wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req,
+                                       bool forwarded) {
   // Serve under the requester's trace context (carried in the wire frame):
   // the leader-side span and every journal/store span the op triggers land
   // in THIS client's ring, all under the requester's trace id. The local
@@ -452,6 +473,11 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
       return resp;
     }
   }
+  // Forwarded ops skip EnsureDirAccess, so a leader quiet locally would let
+  // its lease lapse while serving others: renew on the same quarter-term
+  // rule. Only an admitted op counts as serving — a throttled requester's
+  // retries must not keep the lease alive on its behalf.
+  if (forwarded) RenewIfDue(req.dir_ino);
 
   std::unique_lock lock(handle->mu);
   if (Status st = ValidateLeaseLocked(*handle); !st.ok()) {

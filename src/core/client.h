@@ -374,7 +374,13 @@ class Client : public Vfs {
   // --- RPC server side (client.cc) ---
   Result<Bytes> HandleDirOp(ByteSpan payload);
   Result<Bytes> HandleFlushFile(ByteSpan payload);
-  wire::DirOpResponse ServeDirOp(const wire::DirOpRequest& req);
+  // `forwarded`: the op came over the fabric from another client, so no
+  // EnsureDirAccess ran for it here; serving it renews a lease that is due.
+  wire::DirOpResponse ServeDirOp(const wire::DirOpRequest& req,
+                                 bool forwarded = false);
+  // Renews a lease this client holds and has not yet seen expire once less
+  // than a quarter of its term remains (EnsureDirAccess's rule).
+  void RenewIfDue(const Uuid& dir_ino);
 
   // --- leader-local operation bodies (client_ops.cc); handle.mu held ---
   Status LeaderLookup(DirHandle& dir, const std::string& name,

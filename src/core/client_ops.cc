@@ -1031,7 +1031,7 @@ Status Client::LeaderUnlink(DirHandle& dir, const std::string& name,
   records.push_back(journal::Record::InodeUpsert(dir_inode));
   // Memory BEFORE journal, like every other op: once Append has sequenced
   // the records, a transient sync-mode commit failure leaves them on the
-  // running queue and the background commit thread redrives them durable —
+  // running queue and the journal flusher redrives them durable —
   // so the metatable must already reflect the op, or the journal would
   // record an unlink the live leader never applied. The caller still sees
   // the error (at-least-once ambiguity, never a silent divergence).
@@ -1384,8 +1384,8 @@ void Client::BroadcastFlush(DirHandle& dir, const Uuid& ino,
           (*child)->mtime_sec = mtime;
           ++(*child)->version;
           // Best-effort: on a sync-mode commit failure the records stay on
-          // the running queue and the background commit thread redrives
-          // them; the broadcast itself is already fire-and-forget.
+          // the running queue and the journal flusher redrives them; the
+          // broadcast itself is already fire-and-forget.
           (void)journal_->Append(dir.ino,
                                  {journal::Record::InodeUpsert(**child)});
         }

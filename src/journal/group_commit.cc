@@ -50,19 +50,15 @@ void GroupWindow::Close() {
     std::lock_guard lock(mu_);
     closed_ = true;
   }
-  dirty_cv_.notify_all();
   drained_cv_.notify_all();
 }
 
 void GroupWindow::NoteSequenced(std::uint64_t records, std::uint64_t bytes) {
   if (records == 0) return;
-  {
-    std::lock_guard lock(mu_);
-    if (records_ == 0) oldest_ = Now();
-    records_ += records;
-    bytes_ += bytes;
-  }
-  dirty_cv_.notify_one();
+  std::lock_guard lock(mu_);
+  if (records_ == 0) oldest_ = Now();
+  records_ += records;
+  bytes_ += bytes;
 }
 
 void GroupWindow::NoteDrained(std::uint64_t records, std::uint64_t bytes) {
@@ -94,12 +90,6 @@ bool GroupWindow::Backpressure() {
     drained_cv_.wait_for(lock, std::min<Nanos>(Millis(1), deadline - now));
   }
   return true;
-}
-
-bool GroupWindow::AwaitDirty() {
-  std::unique_lock lock(mu_);
-  dirty_cv_.wait(lock, [&] { return closed_ || records_ > 0; });
-  return !closed_;
 }
 
 GroupWindow::Depth GroupWindow::depth() const {

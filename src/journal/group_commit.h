@@ -8,18 +8,23 @@
 //            pays one object-store round trip per transaction batch.
 //   group  — ack on sequence assignment: Append places the records on the
 //            per-directory running queue (queue position under append
-//            ordering IS the sequence) and returns immediately; a dedicated
-//            flusher coalesces every dirty directory's pending frames into
-//            one async fan-out. The flusher runs continuously — it flushes
-//            immediately when idle, and appends arriving while a flush is
-//            in flight pile into the next round, so batching adapts to load
-//            without a timer. Sequenced-but-unflushed records are the
-//            documented loss window, bounded by GroupWindowLimits below:
-//            appenders are backpressured while the window is over any of
-//            its record/byte/age bounds.
-//   async  — ack on sequence with timer-driven commits every
-//            commit_interval (the historical behavior; the loss window is
-//            up to a whole interval of acked mutations).
+//            ordering IS the sequence) and returns immediately; the flusher
+//            commits the directory at once. Appends arriving while a flush
+//            round is in flight pile into the next round, so batching
+//            adapts to load without a timer. Sequenced-but-unflushed
+//            records are the documented loss window, bounded by
+//            GroupWindowLimits below: appenders are backpressured while the
+//            window is over any of its record/byte/age bounds.
+//   async  — ack on sequence; the flusher commits each directory
+//            commit_interval after its first pending op (the historical
+//            behavior; the loss window is up to a whole interval of acked
+//            mutations).
+//
+// One flusher per JournalManager serves every mode with one rule: a
+// directory is queued when its running queue goes from empty to non-empty
+// (Append in group/async mode, a failed commit's unwind in any mode — how
+// sync mode redrives), due at first op + delay (0 in group mode, else
+// commit_interval), or max(delay / 4, 2 ms) after a failed commit.
 //
 // In every mode, acked-durable ops (fsync/SyncAll returned Ok, or any op in
 // sync mode) are never lost; crash recovery treats a torn group tail
@@ -72,7 +77,7 @@ struct GroupWindowLimits {
 
 // Tracks the sequenced-but-unflushed records across all directories of one
 // JournalManager: appenders report window growth and (in group mode) block
-// while it exceeds its bounds; the flusher parks here when clean.
+// while it exceeds its bounds; commits and resets drain it.
 class GroupWindow {
  public:
   struct Depth {
@@ -87,7 +92,7 @@ class GroupWindow {
   void Close();
 
   // Appender: `records` newly sequenced records totaling `bytes` estimated
-  // bytes joined the window. Wakes the flusher.
+  // bytes joined the window.
   void NoteSequenced(std::uint64_t records, std::uint64_t bytes);
 
   // Records left the window — made durable by a commit, or dropped at
@@ -98,10 +103,6 @@ class GroupWindow {
   // max_stall total). Returns true if it had to wait at all.
   bool Backpressure();
 
-  // Flusher: parks until the window is dirty or closed. Returns false once
-  // closed, regardless of remaining depth.
-  bool AwaitDirty();
-
   Depth depth() const;
   const GroupWindowLimits& limits() const { return limits_; }
 
@@ -110,7 +111,6 @@ class GroupWindow {
 
   const GroupWindowLimits limits_;
   mutable std::mutex mu_;
-  std::condition_variable dirty_cv_;    // appenders -> flusher
   std::condition_variable drained_cv_;  // drains -> backpressured appenders
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;

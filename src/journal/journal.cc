@@ -56,7 +56,12 @@ void JournalMetrics::Attach(obs::MetricsRegistry* registry) {
 }
 
 JournalManager::JournalManager(std::shared_ptr<Prt> prt, JournalConfig config)
-    : config_(config), prt_(std::move(prt)), window_(config_.group_window) {
+    : config_(config),
+      flush_delay_(config_.durability == DurabilityMode::kGroup
+                       ? Nanos{0}
+                       : config_.commit_interval),
+      prt_(std::move(prt)),
+      window_(config_.group_window) {
   metrics_.Attach(config_.metrics);
   obs::MetricsRegistry& reg = config_.metrics != nullptr
                                   ? *config_.metrics
@@ -69,12 +74,7 @@ JournalManager::JournalManager(std::shared_ptr<Prt> prt, JournalConfig config)
   for (int i = 0; i < config_.checkpoint_threads; ++i) {
     checkpoint_threads_.emplace_back([this, i] { CheckpointThreadMain(i); });
   }
-  for (int i = 0; i < config_.commit_threads; ++i) {
-    commit_threads_.emplace_back([this, i] { CommitThreadMain(i); });
-  }
-  if (config_.durability == DurabilityMode::kGroup) {
-    group_flusher_ = std::thread([this] { GroupFlusherMain(); });
-  }
+  flusher_ = std::thread([this] { FlusherMain(); });
 }
 
 JournalManager::~JournalManager() {
@@ -86,13 +86,14 @@ JournalManager::~JournalManager() {
 }
 
 void JournalManager::Halt() {
-  stopping_.store(true);
-  window_.Close();
-  if (group_flusher_.joinable()) group_flusher_.join();
-  for (auto& q : checkpoint_queues_) q->Close();
-  for (auto& t : commit_threads_) {
-    if (t.joinable()) t.join();
+  {
+    std::lock_guard lock(flush_mu_);
+    stopping_ = true;
   }
+  flush_cv_.notify_all();
+  window_.Close();
+  if (flusher_.joinable()) flusher_.join();
+  for (auto& q : checkpoint_queues_) q->Close();
   for (auto& t : checkpoint_threads_) {
     if (t.joinable()) t.join();
   }
@@ -184,9 +185,12 @@ Status JournalManager::Append(const Uuid& dir_ino,
   {
     std::lock_guard lock(st->mu);
     if (st->running.empty()) {
-      st->first_op = Now();
+      // Group/async ack on sequence; the flusher commits after the delay.
+      if (config_.durability != DurabilityMode::kSync) {
+        QueueFlushLocked(dir_ino, *st, flush_delay_);
+      }
       // The transaction's trace is the trace of its first op; a deferred
-      // background commit replays it (later appends piggyback).
+      // flusher commit replays it (later appends piggyback).
       st->trace = obs::CaptureTrace();
     }
     // Taking a position on the running queue under st->mu IS the sequence
@@ -209,22 +213,19 @@ Status JournalManager::Append(const Uuid& dir_ino,
     // any later reply can never miss the mutation it races with.
     st->watermark.fetch_add(1, std::memory_order_relaxed);
   }
-  switch (config_.durability) {
-    case DurabilityMode::kSync: {
-      // Durable before ack. On failure the records stay on the running
-      // queue (commit unwind), so the background commit thread redrives
-      // them — the caller sees the error and must not ack the op.
-      ARKFS_RETURN_IF_ERROR(CommitRunning(dir_ino, *st));
-      MaybeEnqueueCheckpoint(dir_ino, *st);
-      return Status::Ok();
-    }
-    case DurabilityMode::kGroup:
-      // Acked on sequence; the flusher was woken by NoteSequenced. Hold the
-      // appender only while the dirty window is over its bounds.
-      if (window_.Backpressure()) metrics_.group_stalls.Add();
-      return Status::Ok();
-    case DurabilityMode::kAsync:
-      return Status::Ok();
+  if (config_.durability == DurabilityMode::kSync) {
+    // Durable before ack. On failure the records stay on the running queue
+    // and the commit unwind queues the directory, so the flusher redrives
+    // them — the caller sees the error and must not ack the op.
+    ARKFS_RETURN_IF_ERROR(CommitRunning(dir_ino, *st));
+    MaybeEnqueueCheckpoint(dir_ino, *st, Now());
+    return Status::Ok();
+  }
+  // Group mode holds the appender only while the dirty window is over its
+  // bounds.
+  if (config_.durability == DurabilityMode::kGroup &&
+      window_.Backpressure()) {
+    metrics_.group_stalls.Add();
   }
   return Status::Ok();
 }
@@ -333,7 +334,7 @@ Status JournalManager::CommitRunningLocked(const Uuid& dir_ino, DirState& st) {
   }
   const std::uint64_t n_records = txn.records.size();
   // Commit under the trace of the op that opened the transaction, whether
-  // we run on the caller's thread (fsync) or a background commit thread.
+  // we run on the caller's thread (fsync) or the flusher.
   obs::TraceScope scope(trace.tracer, trace.ctx);
   obs::Span span("journal.commit");
   const TimePoint commit_start = Now();
@@ -347,7 +348,8 @@ Status JournalManager::CommitRunningLocked(const Uuid& dir_ino, DirState& st) {
     // — losing them here would silently drop already-applied metatable
     // mutations on the floor. Re-prepend them ahead of anything appended
     // meanwhile and return the seq (safe: seqs are only allocated under
-    // append_mu, which we still hold, so no later seq exists yet).
+    // append_mu, which we still hold, so no later seq exists yet). The
+    // flusher redrives them after the retry delay, in every mode.
     std::lock_guard lock(st.mu);
     txn.records.insert(txn.records.end(),
                        std::make_move_iterator(st.running.begin()),
@@ -355,6 +357,8 @@ Status JournalManager::CommitRunningLocked(const Uuid& dir_ino, DirState& st) {
     st.running = std::move(txn.records);
     st.pending_window_bytes += window_bytes;  // still pending, still counted
     --st.next_seq;
+    QueueFlushLocked(dir_ino, st,
+                     std::max<Nanos>(flush_delay_ / 4, Millis(2)));
   }
   return append;
 }
@@ -481,14 +485,20 @@ Status JournalManager::CommitAll() {
   return ForEachDir([this](const Uuid& ino) { return CommitDir(ino); });
 }
 
-Status JournalManager::ForEachDir(std::function<Status(const Uuid&)> op) {
+Status JournalManager::ForEachDir(
+    const std::function<Status(const Uuid&)>& op) {
   std::vector<Uuid> all;
   {
     std::lock_guard lock(registry_mu_);
     all.reserve(dirs_.size());
     for (const auto& [ino, _] : dirs_) all.push_back(ino);
   }
-  if (all.empty()) return Status::Ok();
+  return FanOut(all, op);
+}
+
+Status JournalManager::FanOut(const std::vector<Uuid>& dirs,
+                              const std::function<Status(const Uuid&)>& op) {
+  if (dirs.empty()) return Status::Ok();
   // The returned Status is first-error-wins; the per-directory failure
   // COUNT is only visible through the journal.flush.errors counter, so bump
   // it for every failing directory here.
@@ -497,10 +507,10 @@ Status JournalManager::ForEachDir(std::function<Status(const Uuid&)> op) {
     if (!s.ok()) metrics_.flush_errors.Add();
     return s;
   };
-  if (all.size() == 1) return counted(all[0]);
+  if (dirs.size() == 1) return counted(dirs[0]);
   std::vector<std::function<Status()>> tasks;
-  tasks.reserve(all.size());
-  for (const auto& ino : all) {
+  tasks.reserve(dirs.size());
+  for (const auto& ino : dirs) {
     tasks.push_back([&counted, ino] { return counted(ino); });
   }
   return prt_->async().RunAll(std::move(tasks));
@@ -1018,34 +1028,62 @@ Status JournalManager::ApplyTransactions(
   return first;
 }
 
-void JournalManager::CommitThreadMain(int index) {
-  const Nanos poll = std::max<Nanos>(config_.commit_interval / 4, Millis(2));
-  while (!stopping_.load()) {
-    SleepFor(poll);
-    std::vector<std::pair<Uuid, DirStatePtr>> mine;
-    {
-      std::lock_guard lock(registry_mu_);
-      for (const auto& [ino, st] : dirs_) {
-        if (CommitThreadFor(ino) == index) mine.emplace_back(ino, st);
-      }
-    }
+void JournalManager::QueueFlushLocked(const Uuid& dir_ino, DirState& st,
+                                      Nanos delay) {
+  st.flush_due = Now() + delay;
+  std::lock_guard lock(flush_mu_);
+  if (flush_queue_.empty() || st.flush_due < flush_queue_.begin()->first) {
+    flush_cv_.notify_one();  // new earliest deadline
+  }
+  flush_queue_.emplace(st.flush_due, dir_ino);
+}
+
+void JournalManager::FlusherMain() {
+  std::unique_lock lock(flush_mu_);
+  while (!stopping_) {
     const TimePoint now = Now();
-    for (auto& [ino, st] : mine) {
-      bool due = false;
-      {
-        std::lock_guard lock(st->mu);
-        due = !st->running.empty() &&
-              now - st->first_op >= config_.commit_interval;
+    if (flush_queue_.empty()) {
+      flush_cv_.wait(lock);
+    } else if (flush_queue_.begin()->first > now) {
+      flush_cv_.wait_until(lock, flush_queue_.begin()->first);
+    } else {
+      std::set<Uuid> candidates;
+      while (!flush_queue_.empty() && flush_queue_.begin()->first <= now) {
+        candidates.insert(flush_queue_.begin()->second);
+        flush_queue_.erase(flush_queue_.begin());
       }
-      if (!due) continue;
-      Status s = CommitRunning(ino, *st);
-      if (!s.ok()) {
-        ARKFS_WLOG << "background commit failed for " << ino.ToString()
-                   << ": " << s.ToString();
-        continue;
-      }
-      checkpoint_queues_[CheckpointThreadFor(ino)]->Push(ino);
+      lock.unlock();
+      FlushRound(candidates, now);
+      lock.lock();
     }
+  }
+}
+
+void JournalManager::FlushRound(const std::set<Uuid>& candidates,
+                                TimePoint now) {
+  // An entry is stale when the directory was drained meanwhile (fsync, lease
+  // drain, reset) or re-queued for later; whoever refilled or re-queued it
+  // left a live entry at its flush_due.
+  std::vector<Uuid> due;
+  for (const Uuid& ino : candidates) {
+    DirStatePtr st = FindDir(ino);
+    if (!st) continue;
+    std::lock_guard lock(st->mu);
+    if (!st->running.empty() && st->flush_due <= now) due.push_back(ino);
+  }
+  if (due.empty()) return;
+  // A failed directory was re-queued by its commit unwind, so the round
+  // never retries.
+  const TimePoint t0 = Now();
+  (void)FanOut(due, [this](const Uuid& ino) {
+    DirStatePtr st = FindDir(ino);
+    return st ? CommitRunning(ino, *st) : Status::Ok();
+  });
+  op_latencies_.Record("group_flush", Now() - t0);
+  metrics_.group_flushes.Add();
+  metrics_.group_flushed_txns.Add(due.size());
+  for (const Uuid& ino : due) {
+    if (DirStatePtr st = FindDir(ino)) MaybeEnqueueCheckpoint(ino, *st, now);
   }
 }
 
@@ -1062,9 +1100,8 @@ void JournalManager::CheckpointThreadMain(int index) {
 }
 
 void JournalManager::MaybeEnqueueCheckpoint(const Uuid& dir_ino,
-                                            DirState& st) {
+                                            DirState& st, TimePoint now) {
   bool due = false;
-  const TimePoint now = Now();
   {
     std::lock_guard lock(st.mu);
     if (now - st.last_checkpoint_enqueue >= config_.commit_interval) {
@@ -1073,70 +1110,6 @@ void JournalManager::MaybeEnqueueCheckpoint(const Uuid& dir_ino,
     }
   }
   if (due) checkpoint_queues_[CheckpointThreadFor(dir_ino)]->Push(dir_ino);
-}
-
-void JournalManager::GroupFlusherMain() {
-  // The adaptive batching loop: park until anything is sequenced, then
-  // commit EVERY directory with pending records in one async fan-out. When
-  // load is light each append gets its own near-immediate flush; under load
-  // the records that arrive while a round's store round trip is in flight
-  // coalesce into the next round, so frames per round scale with pressure
-  // without a timer in the ack path.
-  while (window_.AwaitDirty()) {
-    // Snapshot the registry first, THEN probe each directory under its own
-    // st->mu: holding registry_mu_ across the per-directory locks would
-    // block every FindDir/FindOrCreateDir (the whole metadata op path) for
-    // a scan that grows with directory count.
-    std::vector<std::pair<Uuid, DirStatePtr>> all;
-    {
-      std::lock_guard lock(registry_mu_);
-      all.reserve(dirs_.size());
-      for (const auto& [ino, st] : dirs_) all.emplace_back(ino, st);
-    }
-    std::vector<std::pair<Uuid, DirStatePtr>> dirty;
-    for (auto& [ino, st] : all) {
-      std::lock_guard dlock(st->mu);
-      if (!st->running.empty()) dirty.emplace_back(ino, st);
-    }
-    if (dirty.empty()) {
-      // An fsync or lease-event drain on another thread beat us to every
-      // pending record. Brief pause so a (should-be-impossible) window
-      // accounting leak cannot turn into a hot spin.
-      SleepFor(Millis(1));
-      continue;
-    }
-    const TimePoint t0 = Now();
-    Status first = Status::Ok();
-    if (dirty.size() == 1) {
-      first = CommitRunning(dirty[0].first, *dirty[0].second);
-      if (!first.ok()) metrics_.flush_errors.Add();
-    } else {
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(dirty.size());
-      for (auto& entry : dirty) {
-        tasks.push_back([this, ino = entry.first, st = entry.second.get()] {
-          Status s = CommitRunning(ino, *st);
-          if (!s.ok()) metrics_.flush_errors.Add();
-          return s;
-        });
-      }
-      first = prt_->async().RunAll(std::move(tasks));
-    }
-    op_latencies_.Record("group_flush", Now() - t0);
-    metrics_.group_flushes.Add();
-    metrics_.group_flushed_txns.Add(dirty.size());
-    // Checkpoints stay on the async-mode cadence: flush rounds can be
-    // sub-millisecond under load and checkpointing each one would rewrite
-    // dirty shards continuously.
-    for (auto& entry : dirty) MaybeEnqueueCheckpoint(entry.first, *entry.second);
-    if (!first.ok()) {
-      if (stopping_.load()) break;
-      // Store trouble: the failed directories' records were unwound onto
-      // their running queues and the window still counts them, so the next
-      // AwaitDirty redrives immediately — back off instead of hot-looping.
-      SleepFor(Millis(2));
-    }
-  }
 }
 
 std::string JournalManager::IntrospectText() const {

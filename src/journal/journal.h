@@ -9,9 +9,10 @@
 //    up to the commit                  + CRC)              objects
 //    interval, 1 s default)
 //
-// Commit and checkpoint run on small thread pools; each directory is
-// statically mapped to one commit thread and one checkpoint thread by its
-// inode number, as in the paper. A checkpointed transaction is removed from
+// One flusher thread commits running transactions as they fall due (rule in
+// group_commit.h); checkpoints run on a small thread pool, each directory
+// statically mapped to one checkpoint thread by its inode number, as in the
+// paper. A checkpointed transaction is removed from
 // the journal object; any transaction still present in the journal at lease
 // acquisition time therefore marks a crashed predecessor, and the new leader
 // replays it (RecoverDir).
@@ -24,10 +25,13 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -59,7 +63,6 @@ std::uint32_t ShardCountFor(const DentryShardPolicy& policy,
 
 struct JournalConfig {
   Nanos commit_interval{Seconds(1)};  // paper: 1 s in-memory buffering
-  int commit_threads = 2;
   int checkpoint_threads = 2;
   DentryShardPolicy shard_policy;
   // When a mutation is acked relative to its journal append — see
@@ -108,11 +111,11 @@ struct JournalMetrics {
   // Status those calls return is first-error-wins; this counter makes every
   // failing directory visible to Introspect.
   obs::Counter flush_errors;
-  // Group-commit pipeline ("journal.group.*"): flusher rounds, transactions
-  // they drained, appender backpressure stalls, explicit drains (fsync /
-  // CommitAll and the lease-event subset: release, handoff, lame-duck
-  // deposition warning), and records dropped undurable at ResetDir — the
-  // realized loss window of a deposed tenure.
+  // Group-commit pipeline ("journal.group.*"): flusher rounds (any mode),
+  // transactions they drained, appender backpressure stalls, explicit
+  // drains (fsync / CommitAll and the lease-event subset: release, handoff,
+  // lame-duck deposition warning), and records dropped undurable at
+  // ResetDir — the realized loss window of a deposed tenure.
   obs::Counter group_flushes;
   obs::Counter group_flushed_txns;
   obs::Counter group_stalls;
@@ -180,9 +183,9 @@ class JournalManager {
   // queue before this returns; what else happens depends on the durability
   // mode (group_commit.h): sync commits them durably here (the returned
   // Status is the commit result — kStale means a successor fenced us mid-
-  // op), group wakes the flusher and may backpressure briefly if the dirty
-  // window is over its bounds, async returns immediately. Group/async
-  // always return Ok.
+  // op), group queues the directory for an immediate flush and may
+  // backpressure briefly if the dirty window is over its bounds, async
+  // queues it for first op + commit_interval. Group/async always return Ok.
   Status Append(const Uuid& dir_ino, std::vector<Record> records);
 
   // Forces running -> journal object for this directory. No checkpoint.
@@ -240,11 +243,11 @@ class JournalManager {
   // release tags itself inside UnregisterDir.
   void NoteLeaseDrain() { metrics_.group_lease_drains.Add(); }
 
-  // Stops all background activity (commit timer, group flusher, checkpoint
-  // workers) WITHOUT flushing: models a process crash. Running transactions
-  // that were never committed are abandoned in memory; only what already
-  // reached the journal objects survives to recovery. Idempotent; the
-  // destructor calls it too.
+  // Stops all background activity (flusher, checkpoint workers) WITHOUT
+  // flushing: models a process crash. Running transactions that were never
+  // committed are abandoned in memory; only what already reached the
+  // journal objects survives to recovery. Idempotent; the destructor calls
+  // it too.
   void Halt();
 
   // Wall-clock histograms for "commit" (running txn -> journal object) and
@@ -273,18 +276,20 @@ class JournalManager {
 
  private:
   struct DirState {
-    std::mutex mu;  // guards running/first_op/next_seq/trace
+    std::mutex mu;  // guards running/flush_due/next_seq/trace
     std::vector<Record> running;
-    TimePoint first_op{};
+    // When the flusher commits `running` (see QueueFlushLocked); earlier
+    // queue entries for this directory are stale.
+    TimePoint flush_due{};
     std::uint64_t next_seq = 1;
     // Estimated bytes of `running` as accounted in the manager-wide dirty
     // window (group_commit.h). Kept symmetric with the window: incremented
     // on Append, zeroed when a commit takes the batch, restored on commit
     // unwind — so drains subtract exactly what sequencing added.
     std::uint64_t pending_window_bytes = 0;
-    // When the group flusher last pushed this directory to a checkpoint
-    // queue. Flush rounds can be sub-millisecond under load; checkpoints
-    // stay on the commit_interval cadence the async mode uses.
+    // When the flusher (or a sync append) last pushed this directory to a
+    // checkpoint queue. Group flush rounds can be sub-millisecond under
+    // load; checkpoints stay on the commit_interval cadence.
     TimePoint last_checkpoint_enqueue{};
     // Trace of the op that opened the running transaction; re-installed
     // around the (possibly deferred, background-thread) commit so the
@@ -326,7 +331,8 @@ class JournalManager {
   Status AppendToJournalLocked(const Uuid& dir_ino, DirState& st,
                                Transaction& txn);
   // Takes the running txn (if any) and appends it (acquires append_mu, or
-  // expects it held for the Locked variant).
+  // expects it held for the Locked variant). On failure the records go back
+  // on the running queue and the directory is re-queued for the flusher.
   Status CommitRunning(const Uuid& dir_ino, DirState& st);
   Status CommitRunningLocked(const Uuid& dir_ino, DirState& st);
   // Checkpoints all committed txns. Applies store updates WITHOUT holding
@@ -334,45 +340,55 @@ class JournalManager {
   // consumed journal prefix is trimmed afterwards.
   Status Checkpoint(const Uuid& dir_ino, DirState& st);
 
-  // Runs `op` against every registered directory, fanned out through the
-  // async layer (first-error-wins; every directory is attempted).
-  Status ForEachDir(std::function<Status(const Uuid&)> op);
+  // Runs `op` against each directory, fanned out through the async layer
+  // (first-error-wins; every directory is attempted; each failure counted
+  // in flush_errors). ForEachDir does so for every registered directory.
+  Status FanOut(const std::vector<Uuid>& dirs,
+                const std::function<Status(const Uuid&)>& op);
+  Status ForEachDir(const std::function<Status(const Uuid&)>& op);
 
-  void CommitThreadMain(int index);
+  // Sets st.flush_due = now + delay and queues the directory for then.
+  // st.mu must be held (lock order st.mu -> flush_mu_).
+  void QueueFlushLocked(const Uuid& dir_ino, DirState& st, Nanos delay);
+  // The flusher: sleeps until the earliest queued due time, then commits
+  // every due directory in one fan-out per round.
+  void FlusherMain();
+  void FlushRound(const std::set<Uuid>& candidates, TimePoint now);
   void CheckpointThreadMain(int index);
-  // Group-mode flusher: parks on the dirty window, then commits every
-  // directory with pending records through one async fan-out per round.
-  void GroupFlusherMain();
   // Zeroes a directory's share of the dirty window (records leaving
   // `running` without a commit: ResetDir, RecoverDir). st.mu must be held.
   void DropPendingWindowLocked(DirState& st, bool count_as_dropped);
   // Pushes the directory to its checkpoint queue at most once per
-  // commit_interval: sync/group commits can be far more frequent than the
-  // async timer, but checkpoint cadence should not be.
-  void MaybeEnqueueCheckpoint(const Uuid& dir_ino, DirState& st);
+  // commit_interval, measured at `now`. The flusher passes its round time:
+  // in async mode a directory's rounds are then at least commit_interval
+  // apart (barring a failed-commit retry), so each commit is checkpointed.
+  void MaybeEnqueueCheckpoint(const Uuid& dir_ino, DirState& st,
+                              TimePoint now);
 
-  int CommitThreadFor(const Uuid& dir) const {
-    return static_cast<int>(UuidHash{}(dir) % config_.commit_threads);
-  }
   int CheckpointThreadFor(const Uuid& dir) const {
     return static_cast<int>(UuidHash{}(dir) % config_.checkpoint_threads);
   }
 
   const JournalConfig config_;
+  // Flusher delay after a directory's first running op: 0 in group mode,
+  // commit_interval otherwise. A failed commit re-queues after a quarter.
+  const Nanos flush_delay_;
   std::shared_ptr<Prt> prt_;
 
   std::mutex registry_mu_;
   std::unordered_map<Uuid, DirStatePtr> dirs_;
 
-  std::vector<std::thread> commit_threads_;
+  std::mutex flush_mu_;  // guards flush_queue_ and stopping_
+  std::condition_variable flush_cv_;
+  std::multimap<TimePoint, Uuid> flush_queue_;  // due time -> directory
+  bool stopping_ = false;
   std::vector<std::thread> checkpoint_threads_;
   std::vector<std::unique_ptr<MpmcQueue<Uuid>>> checkpoint_queues_;
-  std::thread group_flusher_;  // running only in group mode
-  std::atomic<bool> stopping_{false};
 
   GroupWindow window_;
   JournalMetrics metrics_;
   OpLatencySet op_latencies_{{"commit", "checkpoint", "group_flush"}};
+  std::thread flusher_;  // last: it uses every member above
 };
 
 }  // namespace arkfs::journal

@@ -95,7 +95,7 @@ struct ActiveTrace {
 };
 
 // Captures the calling thread's active trace for replay on another thread
-// (journal commit threads, async I/O workers).
+// (the journal flusher, async I/O workers).
 ActiveTrace CaptureTrace();
 // The calling thread's current context ({0,0} when untraced) — what wire
 // frames embed.

@@ -81,6 +81,50 @@ TEST_F(MultiClientTest, LeaseHandoffAfterExpiry) {
   EXPECT_EQ(ToString(*c2_->ReadWholeFile("/handoff/f1", root_)), "a");
 }
 
+// A leader that is quiet locally must keep its lease alive while it serves
+// forwarded ops. Without renewal on the serving path, its own view of the
+// term runs out first and it turns every forward away with kAgain "lease
+// expired" until the manager's copy of the lease lapses as well.
+TEST(LeaderLeaseRenewalTest, IdleLeaderRenewsWhileServingForwards) {
+  ArkFsClusterOptions options = ArkFsClusterOptions::ForTests();
+  options.client_template.op_retries = 1;  // any kAgain fails the op
+  options.client_template.read_delegations = false;  // stats forward too
+  auto cluster =
+      ArkFsCluster::Create(std::make_shared<MemoryObjectStore>(), options)
+          .value();
+  auto a = cluster->AddClient("a").value();
+  auto b = cluster->AddClient("b").value();
+  const UserCred root = UserCred::Root();
+  const Nanos term = options.lease.lease_period;
+
+  // A leads /d and stays busy past its renewal point, so the manager's copy
+  // of the lease runs ahead of the term A started with. Then A goes idle.
+  ASSERT_TRUE(a->Mkdir("/d", 0755, root).ok());
+  const TimePoint busy_until = Now() + term * 9 / 10;
+  for (int i = 0; Now() < busy_until; ++i) {
+    ASSERT_TRUE(
+        a->WriteFileAt("/d/a" + std::to_string(i), AsBytes("a"), root).ok());
+    SleepFor(Millis(5));
+  }
+
+  const std::uint64_t served_before = a->stats().served_remote_ops;
+  const std::uint64_t forwarded_before = b->stats().forwarded_ops;
+  const TimePoint end = Now() + 3 * term;
+  int ops = 0;
+  for (int i = 0; Now() < end; ++i) {
+    const std::string path = "/d/b" + std::to_string(i);
+    ASSERT_TRUE(b->WriteFileAt(path, AsBytes("b"), root).ok()) << path;
+    ASSERT_TRUE(b->Stat(path, root).ok()) << path;
+    ops += 2;
+    SleepFor(Millis(2));
+  }
+  EXPECT_GT(ops, 20);
+  EXPECT_GT(a->stats().served_remote_ops, served_before);
+  // A led /d throughout: every create and stat B issued there was forwarded.
+  EXPECT_GE(b->stats().forwarded_ops - forwarded_before,
+            static_cast<std::uint64_t>(ops));
+}
+
 TEST_F(MultiClientTest, ConcurrentCreatesInSameDirectory) {
   ASSERT_TRUE(c1_->Mkdir("/contended", 0755, root_).ok());
   auto worker = [&](const std::shared_ptr<Client>& c, int base) {

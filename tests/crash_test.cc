@@ -76,7 +76,7 @@ TEST_F(CrashTest, UnsyncedDataIsLostButFsConsistent) {
   auto fd = c1->Open("/d/volatile", create, root_);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(c1->Write(*fd, 0, AsBytes("gone")).ok());
-  // No fsync. Crash immediately (before the 20 ms background commit).
+  // No fsync. Crash immediately (before the 20 ms flusher commit).
   c1->CrashHard();
 
   SleepFor(LeasePeriod() + Millis(100));

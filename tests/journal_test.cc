@@ -924,10 +924,8 @@ class DurabilityModeTest : public ::testing::Test {
 
   std::unique_ptr<JournalManager> MakeManager(DurabilityMode mode) {
     JournalConfig cfg = JournalConfig::ForTests();
-    // Keep the background commit timer out of the picture (tests finish in
-    // well under a second): durability here must come from the mode under
-    // test, not the async fallback. Not huge — the timer thread polls at
-    // interval/4, and the manager dtor rides out one full poll.
+    // Keep async-mode flushes out of the picture (tests finish in well
+    // under a second): durability here must come from the mode under test.
     cfg.commit_interval = Seconds(5);
     cfg.durability = mode;
     return std::make_unique<JournalManager>(prt_, cfg);
@@ -1076,8 +1074,9 @@ TEST_F(DurabilityModeTest, ConcurrentAppendAndDrainNeverLeaksWindowDepth) {
 }
 
 TEST_F(DurabilityModeTest, UnregisterCountsLeaseDrainOnlyWhenPending) {
-  // Async mode: no flusher and a long commit timer, so whether records are
-  // pending at Unregister time is fully deterministic.
+  // Async mode with a long commit interval: the flusher does not fire
+  // during the test, so whether records are pending at Unregister time is
+  // fully deterministic.
   auto mgr = MakeManager(DurabilityMode::kAsync);
   const Uuid idle = NewDir(10);
   mgr->RegisterDir(idle);
@@ -1151,6 +1150,63 @@ TEST_F(DurabilityModeTest, IntrospectTextReportsModeAndDepth) {
   EXPECT_NE(text.find("drains:"), std::string::npos);
 }
 
+// Redrive with no explicit drain: a commit that fails while the store is
+// down must be retried by the flusher alone, in every mode, once the store
+// heals. Async mode must also hold its first attempt back until the commit
+// interval has elapsed.
+class FlusherRedriveTest
+    : public DurabilityModeTest,
+      public ::testing::WithParamInterface<DurabilityMode> {};
+
+TEST_P(FlusherRedriveTest, FailedCommitIsRedrivenWithoutExplicitDrain) {
+  const DurabilityMode mode = GetParam();
+  JournalConfig cfg = JournalConfig::ForTests();
+  cfg.commit_interval = Millis(100);
+  cfg.durability = mode;
+  JournalManager mgr(prt_, cfg);
+  const Uuid dir = NewDir(30 + static_cast<std::uint64_t>(mode));
+  mgr.RegisterDir(dir);
+
+  armed_->store(true);
+  const TimePoint t0 = Now();
+  const Status appended = mgr.Append(dir, {Entry("redriven", 1)});
+  if (mode == DurabilityMode::kSync) {
+    EXPECT_FALSE(appended.ok());  // the ack path saw the failure itself
+  } else {
+    ASSERT_TRUE(appended.ok());  // acked on sequence
+    // The flusher's first attempt fails while the store is down: at once in
+    // group mode, only after commit_interval in async mode.
+    while (mgr.metrics().flush_errors.value() == 0 &&
+           Now() - t0 < Seconds(5)) {
+      SleepFor(Millis(1));
+    }
+    ASSERT_GE(mgr.metrics().flush_errors.value(), 1u);
+    if (mode == DurabilityMode::kAsync) {
+      EXPECT_GE(Now() - t0, cfg.commit_interval);
+    }
+  }
+  EXPECT_EQ(mgr.WindowDepth().records, 1u);
+  EXPECT_EQ(mgr.metrics().transactions_committed.value(), 0u);
+  armed_->store(false);
+
+  for (int i = 0; i < 2500 && mgr.WindowDepth().records > 0; ++i) {
+    SleepFor(Millis(2));
+  }
+  EXPECT_EQ(mgr.WindowDepth().records, 0u);
+  EXPECT_EQ(mgr.metrics().records_committed.value(), 1u);
+  auto applied = prt_->LoadDentries(dir);
+  EXPECT_TRUE(mgr.HasSurvivingJournal(dir) ||
+              (applied.ok() && applied->size() == 1u));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, FlusherRedriveTest,
+    ::testing::Values(DurabilityMode::kSync, DurabilityMode::kGroup,
+                      DurabilityMode::kAsync),
+    [](const ::testing::TestParamInfo<DurabilityMode>& info) {
+      return std::string(DurabilityModeName(info.param));
+    });
+
 TEST(GroupWindowTest, BackpressureReleasesOnDrain) {
   GroupWindowLimits lim;
   lim.max_records = 2;
@@ -1177,20 +1233,6 @@ TEST(GroupWindowTest, StallCapBoundsTheWaitEvenWhenNothingDrains) {
   EXPECT_TRUE(w.Backpressure());  // waited...
   EXPECT_LT(Now() - t0, Seconds(5));  // ...but gave up at the cap
   EXPECT_EQ(w.depth().records, 3u);   // still pending
-}
-
-TEST(GroupWindowTest, AwaitDirtyWakesOnSequenceAndReturnsFalseOnClose) {
-  GroupWindow w(GroupWindowLimits{});
-  std::thread flusher([&] {
-    EXPECT_TRUE(w.AwaitDirty());   // first wake: work arrived
-    w.NoteDrained(1, 10);
-    EXPECT_FALSE(w.AwaitDirty());  // second wake: shutdown
-  });
-  SleepFor(Millis(10));
-  w.NoteSequenced(1, 10);
-  SleepFor(Millis(10));
-  w.Close();
-  flusher.join();
 }
 
 }  // namespace
