@@ -224,8 +224,12 @@ Status Client::BecomeLeader(const DirHandlePtr& handle,
 
   // Leadership genuinely changes hands. Ask the previous leader to flush
   // its pending journal state; an unreachable predecessor means a crash.
+  // A predecessor that released cleanly has nothing left to flush and may
+  // have left the fabric (unmount), so it is neither asked nor suspected;
+  // a journal it left behind still goes through recovery below.
   bool predecessor_crashed = false;
-  if (!grant.prev_leader.empty() && grant.prev_leader != config_.address) {
+  if (!grant.prev_released && !grant.prev_leader.empty() &&
+      grant.prev_leader != config_.address) {
     wire::DirOpRequest flush_req;
     flush_req.op = wire::DirOp::kFlushDir;
     flush_req.dir_ino = handle->ino;

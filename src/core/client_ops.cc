@@ -1153,6 +1153,21 @@ Status Client::LeaderReadDir(DirHandle& dir, const UserCred& cred,
   Metatable& mt = *dir.metatable;
   ARKFS_RETURN_IF_ERROR(CheckAccess(mt.dir_inode(), cred, kPermRead));
   out->entries = mt.ListEntries();
+  // Readdir-plus (paper §III-C: the metatable holds the inodes of its child
+  // files): load every non-resident child-file inode in overlapped batches,
+  // so the stat/open a tar or `ls -l` walk issues next per entry needs no
+  // serialized GET. A resident inode may be newer than its stored object,
+  // and handle.mu is held exclusively, so only the ones missing now are
+  // fetched. A failed GET is left to LoadChildInodeLocked's lazy load.
+  std::vector<Uuid> missing;
+  for (const Dentry& d : out->entries) {
+    if (d.type != FileType::kDirectory && !mt.FindMutableChildInode(d.ino)) {
+      missing.push_back(d.ino);
+    }
+  }
+  for (auto& loaded : prt_->LoadInodes(missing)) {
+    if (loaded.ok()) mt.PutChildInode(std::move(*loaded));
+  }
   const Inode& dir_inode = mt.dir_inode();
   out->dir_meta = {true, dir_inode.mode, dir_inode.uid, dir_inode.gid,
                    dir_inode.acl};

@@ -98,6 +98,7 @@ Result<LeaseClient::Grant> LeaseClient::Acquire(const Uuid& dir_ino,
         grant.fresh = resp.fresh;
         grant.until = TimePoint(Nanos(resp.lease_until_ns));
         grant.prev_leader = resp.prev_leader;
+        grant.prev_released = resp.prev_released;
         grant.token = resp.token;
         grant.watermark = resp.watermark;
         return grant;

@@ -65,6 +65,9 @@ class LeaseClient {
     bool fresh = false;
     TimePoint until{};
     std::string prev_leader;  // non-empty: flush handshake target
+    // prev_leader's tenure ended in a token-matched Release: its state is
+    // already in the store, so there is nobody to flush and no crash.
+    bool prev_released = false;
     FenceToken token;         // fencing token for journal commits
     // Manager's view of the directory's journal watermark (what delegates
     // are being told). Leaders renew with their current watermark, so on a

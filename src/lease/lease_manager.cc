@@ -520,7 +520,9 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
   resp.fresh = (l.last_leader == req.client);
   if (!resp.fresh && !l.last_leader.empty()) {
     resp.prev_leader = l.last_leader;
+    resp.prev_released = l.released;
   }
+  l.released = false;
   l.leader = req.client;
   l.last_leader = req.client;
   l.expires = now + config_.lease_period;
@@ -557,6 +559,9 @@ void LeaseManager::Release(const ReleaseRequest& req) {
     releases_.Add();
     l.leader.clear();
     l.expires = TimePoint{};
+    // Only a release that names its own tenure vouches for a clean handoff;
+    // a legacy token-less release frees the lease but proves nothing.
+    l.released = req.token.valid();
     // last_leader stays: a clean release means the store is fully
     // synchronized, and if the same client comes back it may reuse its
     // metatable only if nobody else led meanwhile — which last_leader tracks.
@@ -588,6 +593,7 @@ Status LeaseManager::Recovery(const RecoveryRequest& req) {
       l.recovering = true;
       l.recoverer = req.client;
       l.leader.clear();
+      l.released = false;  // the recoverer's tenure has yet to end
     }
     // Wait out any read/write leases the dead leader issued to other
     // clients (paper: "waits at least the lease period"). Done outside the

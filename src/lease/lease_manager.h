@@ -23,10 +23,17 @@
 //    the new epoch to its peers so a deposed active abdicates immediately.
 //
 // Fault behaviours implemented:
+//  * clean release: a Release carrying the live grant's fencing token ends
+//    the tenure cleanly (the leader flushed and checkpointed first). The
+//    next grant says so (`prev_released`), and the new leader loads the
+//    directory without a flush handshake or a recovery wait, even though
+//    the released node may have left the fabric (unmount);
 //  * leader change with a live predecessor: the grant carries `prev_leader`
 //    so the new leader can request a final flush before loading metadata;
-//  * crashed leader: journal recovery — BeginRecovery fences the directory
-//    (other clients get kWait) and waits out the read/write-lease period;
+//  * crashed leader (expiry takeover, or any tenure that did not end in a
+//    token-matched release): journal recovery — BeginRecovery fences the
+//    directory (other clients get kWait) and waits out the read/write-lease
+//    period;
 //  * manager restart: Restart() clears all state, bumps the fencing epoch
 //    and enters a quiet period of one lease term during which every Acquire
 //    gets kWait, so a still-live leader's lease cannot be double-granted;
@@ -146,6 +153,9 @@ class LeaseManager {
     TimePoint expires{};
     std::string last_leader;  // survives expiry; drives the `fresh` hint
     FenceToken token;         // fencing token of the live grant
+    // The tenure `token` names ended in a token-matched Release. Reported
+    // to (and cleared by) the next grant as `prev_released`.
+    bool released = false;
     bool recovering = false;
     std::string recoverer;
     // Journal watermark the leader reported on its most recent renewal, and

@@ -64,6 +64,8 @@ Bytes AcquireResponse::Encode() const {
   enc.PutI64(deleg_until_ns);
   // v3 trailing extension (multi-tenant QoS).
   enc.PutI64(retry_after_ns);
+  // v4 trailing extension (clean lease handoff).
+  enc.PutU8(prev_released ? 1 : 0);
   return std::move(enc).Take();
 }
 
@@ -90,6 +92,13 @@ Result<AcquireResponse> AcquireResponse::Decode(ByteSpan data) {
     ARKFS_ASSIGN_OR_RETURN(resp.deleg_until_ns, dec.GetI64());
     if (!dec.done()) {  // v3 extension present
       ARKFS_ASSIGN_OR_RETURN(resp.retry_after_ns, dec.GetI64());
+      if (!dec.done()) {  // v4 extension present
+        ARKFS_ASSIGN_OR_RETURN(std::uint8_t released, dec.GetU8());
+        if (released > 1) {
+          return ErrStatus(Errc::kIo, "bad prev_released flag");
+        }
+        resp.prev_released = released != 0;
+      }
     }
   }
   ARKFS_RETURN_IF_ERROR(RequireDone(dec, "acquire response"));

@@ -7,14 +7,15 @@
 // than decode to something plausible.
 //
 // Version tolerance (same discipline as the AKJT→AKJ2 journal frames): the
-// v2 delegation fields and v3 QoS fields on AcquireRequest/AcquireResponse
-// are TRAILING extension blocks. A current decoder accepts a frame that
-// ends exactly at the v1 or v2 boundary (extension fields default to
-// zero/false) and still rejects every other truncation and any trailing
-// garbage after the last block. The rollout order this buys is
-// decoders-first: a fleet whose decoders are current keeps interoperating
-// while encoders upgrade, and pre-bump frames already in flight (or
-// replayed from captures) parse losslessly.
+// v2 delegation fields and v3 QoS fields on AcquireRequest/AcquireResponse,
+// and the v4 clean-handoff bit on AcquireResponse, are TRAILING extension
+// blocks. A current decoder accepts a frame that ends exactly at an older
+// version's boundary (extension fields default to zero/false) and still
+// rejects every other truncation and any trailing garbage after the last
+// block. The rollout order this buys is decoders-first: a fleet whose
+// decoders are current keeps interoperating while encoders upgrade, and
+// pre-bump frames already in flight (or replayed from captures) parse
+// losslessly.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +88,8 @@ struct AcquireResponse {
   // not be reloaded (paper's lease-extension optimization).
   bool fresh = false;
   // kGranted: previous (different) leader to ask for a final flush, empty if
-  // none. Unreachable previous leader == crash; run journal recovery.
+  // none. Unreachable previous leader == crash; run journal recovery —
+  // unless prev_released says the tenure ended in a clean release.
   std::string prev_leader;
   // kGranted: the fencing token (manager epoch, per-epoch grant sequence)
   // the journal layer stamps into commit records. A grant from a deposed
@@ -115,6 +117,14 @@ struct AcquireResponse {
   // standby-redirect hints (see lease::IsRedirect). The client sleeps this
   // long before retrying instead of its doubling backoff.
   std::int64_t retry_after_ns = 0;
+
+  // --- v4 trailing extension (clean lease handoff) ---
+  // kGranted only: the previous tenure ended in a Release carrying its own
+  // fencing token, i.e. the leader flushed and checkpointed before letting
+  // go. The new leader skips the kFlushDir handshake and never reads an
+  // unreachable prev_leader as a crash. Never set after an expiry takeover,
+  // a stale-token release or a manager failover.
+  bool prev_released = false;
 
   Bytes Encode() const;
   static Result<AcquireResponse> Decode(ByteSpan data);

@@ -16,6 +16,28 @@ Result<Inode> Prt::LoadInode(const Uuid& ino) {
   return Inode::Decode(raw);
 }
 
+std::vector<Result<Inode>> Prt::LoadInodes(const std::vector<Uuid>& inos) {
+  std::vector<Result<Inode>> out;
+  out.reserve(inos.size());
+  const std::size_t batch =
+      std::max<std::size_t>(1, async_->config().max_in_flight);
+  for (std::size_t begin = 0; begin < inos.size(); begin += batch) {
+    const std::size_t end = std::min(inos.size(), begin + batch);
+    std::vector<BatchGet> gets(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      gets[i - begin].key = InodeKey(inos[i]);
+    }
+    for (auto& raw : async_->MultiGet(std::move(gets)).results) {
+      if (raw.ok()) {
+        out.push_back(Inode::Decode(*raw));
+      } else {
+        out.push_back(raw.status());
+      }
+    }
+  }
+  return out;
+}
+
 Status Prt::StoreInode(const Inode& inode) {
   return store_->Put(InodeKey(inode.ino), inode.Encode());
 }

@@ -36,6 +36,9 @@ class Prt {
 
   // --- Metadata objects ---
   Result<Inode> LoadInode(const Uuid& ino);
+  // Many inodes as overlapped MultiGets of at most the async layer's
+  // max_in_flight each; result[i] is inos[i]'s inode or its own error.
+  std::vector<Result<Inode>> LoadInodes(const std::vector<Uuid>& inos);
   Status StoreInode(const Inode& inode);
   Status DeleteInode(const Uuid& ino);
 

@@ -2,7 +2,9 @@
 // shared-file read/write leases, permission caching.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
+#include <vector>
 
 #include "core/cluster.h"
 #include "objstore/memory_store.h"
@@ -123,6 +125,78 @@ TEST(LeaderLeaseRenewalTest, IdleLeaderRenewsWhileServingForwards) {
   // A led /d throughout: every create and stat B issued there was forwarded.
   EXPECT_GE(b->stats().forwarded_ops - forwarded_before,
             static_cast<std::uint64_t>(ops));
+}
+
+// A clean unmount flushes and then releases every lease with its own token,
+// so the node that mounts next must not read its now unreachable predecessor
+// as crashed: no recovery, and so no recovery_wait per directory level.
+TEST(CleanHandoffTest, CleanUnmountHandoffSkipsRecovery) {
+  ArkFsClusterOptions options = ArkFsClusterOptions::ForTests();
+  options.lease.recovery_wait = Seconds(2);
+  auto cluster =
+      ArkFsCluster::Create(std::make_shared<MemoryObjectStore>(), options)
+          .value();
+  const UserCred root = UserCred::Root();
+
+  auto a = cluster->AddClient("a").value();
+  ASSERT_TRUE(a->MkdirAll("/a/b/c", 0755, root).ok());
+  std::map<std::string, std::string> files;
+  for (const std::string dir : {"/a", "/a/b", "/a/b/c"}) {
+    for (int i = 0; i < 4; ++i) {
+      const std::string path = dir + "/f" + std::to_string(i);
+      files[path] = std::string(100 + 37 * i, 'x') + path;
+      ASSERT_TRUE(a->WriteFileAt(path, AsBytes(files[path]), root).ok());
+    }
+  }
+  ASSERT_TRUE(a->SyncAll().ok());
+  ASSERT_TRUE(a->Shutdown().ok());
+
+  auto b = cluster->AddClient("b").value();
+  const TimePoint start = Now();
+  std::map<std::string, std::string> seen;
+  std::vector<std::string> pending{"/"};
+  while (!pending.empty()) {
+    const std::string dir = pending.back();
+    pending.pop_back();
+    auto entries = b->ReadDir(dir, root);
+    ASSERT_TRUE(entries.ok()) << dir << ": " << entries.status().ToString();
+    for (const Dentry& d : *entries) {
+      const std::string path = (dir == "/" ? "" : dir) + "/" + d.name;
+      if (d.type == FileType::kDirectory) {
+        pending.push_back(path);
+        continue;
+      }
+      auto data = b->ReadWholeFile(path, root);
+      ASSERT_TRUE(data.ok()) << path << ": " << data.status().ToString();
+      seen[path] = ToString(*data);
+    }
+  }
+  EXPECT_LT(Now() - start, Seconds(1));
+  EXPECT_EQ(b->stats().recoveries, 0u);
+  EXPECT_EQ(seen, files);
+}
+
+// The companion case: a leader that vanishes without releasing, with an
+// acked op still in its unflushed window, is recovered exactly as before.
+TEST(CleanHandoffTest, CrashedPredecessorStillRecovers) {
+  auto cluster = ArkFsCluster::Create(std::make_shared<MemoryObjectStore>(),
+                                      ArkFsClusterOptions::ForTests())
+                     .value();
+  const UserCred root = UserCred::Root();
+  auto a = cluster->AddClient("a").value();
+  ASSERT_TRUE(a->MkdirAll("/a/b", 0755, root).ok());
+  ASSERT_TRUE(a->WriteFileAt("/a/b/kept", AsBytes("durable"), root).ok());
+  ASSERT_TRUE(a->SyncAll().ok());
+  ASSERT_TRUE(a->Mkdir("/a/b/late", 0755, root).ok());  // acked, unflushed
+  a->CrashHard();
+
+  SleepFor(cluster->lease_manager().config().lease_period + Millis(100));
+  auto b = cluster->AddClient("b").value();
+  ASSERT_TRUE(b->ReadDir("/a/b", root).ok());
+  auto kept = b->ReadWholeFile("/a/b/kept", root);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(ToString(*kept), "durable");
+  EXPECT_GT(b->stats().recoveries, 0u);
 }
 
 TEST_F(MultiClientTest, ConcurrentCreatesInSameDirectory) {

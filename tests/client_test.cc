@@ -1,8 +1,12 @@
 // End-to-end single-client tests of the ArkFS file system.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/cluster.h"
 #include "objstore/memory_store.h"
+#include "objstore/wrappers.h"
+#include "prt/key_schema.h"
 
 namespace arkfs {
 namespace {
@@ -399,6 +403,129 @@ TEST_F(ClientTest, LocalOpsDominateForOwnDirectory) {
   // Single client: everything is a local metadata op; nothing forwarded.
   EXPECT_GT(stats.local_meta_ops, 0u);
   EXPECT_EQ(stats.forwarded_ops, 0u);
+}
+
+// Readdir-plus (paper §III-C: the metatable holds the inodes of its child
+// files): a fresh leader's listing loads every child file's inode in
+// overlapped batches, so the per-entry stat/open walk that follows needs no
+// store round trips.
+class ReadDirPlusTest : public ::testing::Test {
+ protected:
+  // Builds /d with `n` files through one client, syncs and unmounts it, then
+  // mounts a fresh client over `store` that has to lead /d anew.
+  void Populate(ObjectStorePtr store, int n) {
+    cluster_ =
+        ArkFsCluster::Create(store, ArkFsClusterOptions::ForTests()).value();
+    auto writer = cluster_->AddClient("writer").value();
+    ASSERT_TRUE(writer->Mkdir("/d", 0755, root_).ok());
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(
+          writer->WriteFileAt(Name(i), AsBytes(Payload(i)), root_).ok());
+      auto st = writer->Stat(Name(i), root_);
+      ASSERT_TRUE(st.ok());
+      inos_.push_back(st->ino);
+    }
+    ASSERT_TRUE(writer->SyncAll().ok());
+    ASSERT_TRUE(writer->Shutdown().ok());
+    reader_ = cluster_->AddClient("reader").value();
+  }
+
+  static std::string Name(int i) { return "/d/f" + std::to_string(i); }
+  static std::string Payload(int i) { return "payload-" + std::to_string(i); }
+
+  std::unique_ptr<ArkFsCluster> cluster_;
+  std::shared_ptr<Client> reader_;
+  std::vector<Uuid> inos_;
+  UserCred root_ = UserCred::Root();
+};
+
+TEST_F(ReadDirPlusTest, StatAndOpenAfterReadDirIssueNoGets) {
+  auto counting = std::make_shared<CountingStore>(
+      std::make_shared<MemoryObjectStore>());
+  ASSERT_NO_FATAL_FAILURE(Populate(counting, 64));
+
+  const std::uint64_t before = counting->Snapshot().gets;
+  auto entries = reader_->ReadDir("/d", root_);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), 64u);
+  const std::uint64_t after_readdir = counting->Snapshot().gets;
+  EXPECT_GE(after_readdir - before, 64u);  // the inode batch ran in readdir
+
+  for (int i = 0; i < 64; ++i) {
+    auto st = reader_->Stat(Name(i), root_);
+    ASSERT_TRUE(st.ok()) << Name(i);
+    EXPECT_EQ(st->size, Payload(i).size());
+    auto fd = reader_->Open(Name(i), OpenOptions{}, root_);
+    ASSERT_TRUE(fd.ok()) << Name(i);
+    ASSERT_TRUE(reader_->Close(*fd).ok());
+  }
+  EXPECT_EQ(counting->Snapshot().gets, after_readdir);
+}
+
+TEST_F(ReadDirPlusTest, ResidentInodeKeepsItsInMemorySize) {
+  auto store = std::make_shared<MemoryObjectStore>();
+  ASSERT_NO_FATAL_FAILURE(Populate(store, 8));
+
+  // The reader leads /d and grows f0 in memory. Rewinding the store's copy
+  // of f0's inode to the checkpointed original leaves the store behind the
+  // metatable, as it is between an update and its checkpoint.
+  const std::string key = InodeKey(inos_[0]);
+  auto original = store->Get(key);
+  ASSERT_TRUE(original.ok());
+  const std::string grown(4096, 'z');
+  ASSERT_TRUE(reader_->WriteFileAt(Name(0), AsBytes(grown), root_).ok());
+  ASSERT_TRUE(reader_->SyncAll().ok());
+  ASSERT_TRUE(store->Put(key, *original).ok());
+
+  ASSERT_TRUE(reader_->ReadDir("/d", root_).ok());
+  auto st = reader_->Stat(Name(0), root_);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, grown.size());
+  auto data = reader_->ReadWholeFile(Name(0), root_);
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(ToString(*data), grown);
+}
+
+TEST_F(ReadDirPlusTest, FailedPrefetchGetFallsBackToLazyLoad) {
+  // mode 0 passes everything, 1 fails GETs of the victim inode, 2 counts
+  // them. `victim` is written before mode leaves 0 and only read after. The
+  // state is shared with the store, which outlives this test body.
+  struct Fault {
+    std::atomic<int> mode{0};
+    std::atomic<int> failed{0};
+    std::atomic<int> loaded{0};
+    std::string victim;
+  };
+  auto fault = std::make_shared<Fault>();
+  auto faulty = std::make_shared<FaultInjectionStore>(
+      std::make_shared<MemoryObjectStore>(),
+      [fault](std::string_view op, const std::string& key) {
+        const int mode = fault->mode.load();
+        if (mode == 0 || op != "get" || key != fault->victim) {
+          return Errc::kOk;
+        }
+        if (mode == 1) {
+          fault->failed.fetch_add(1);
+          return Errc::kIo;
+        }
+        fault->loaded.fetch_add(1);
+        return Errc::kOk;
+      });
+  ASSERT_NO_FATAL_FAILURE(Populate(faulty, 8));
+
+  fault->victim = InodeKey(inos_[3]);
+  fault->mode.store(1);
+  auto entries = reader_->ReadDir("/d", root_);
+  fault->mode.store(2);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  EXPECT_EQ(entries->size(), 8u);
+  EXPECT_GE(fault->failed.load(), 1);
+  EXPECT_EQ(fault->loaded.load(), 0);
+
+  auto st = reader_->Stat(Name(3), root_);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  EXPECT_EQ(st->size, Payload(3).size());
+  EXPECT_EQ(fault->loaded.load(), 1);  // the lazy load on first access
 }
 
 }  // namespace

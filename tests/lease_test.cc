@@ -79,6 +79,7 @@ TEST_F(LeaseTest, TakeoverAfterExpiryNamesPreviousLeader) {
   ASSERT_TRUE(grant.ok());
   EXPECT_FALSE(grant->fresh);
   EXPECT_EQ(grant->prev_leader, "c1");  // flush-handshake target
+  EXPECT_FALSE(grant->prev_released);   // expiry is not a clean handoff
 }
 
 TEST_F(LeaseTest, ReleaseFreesTheLease) {
@@ -89,6 +90,93 @@ TEST_F(LeaseTest, ReleaseFreesTheLease) {
   auto grant = c2.Acquire(dir_);
   ASSERT_TRUE(grant.ok());
   EXPECT_EQ(grant->prev_leader, "c1");
+  // A token-less (legacy) release frees the lease but vouches for nothing.
+  EXPECT_FALSE(grant->prev_released);
+}
+
+// A tenure that ends in a Release carrying its own fencing token is a clean
+// handoff: the next grant says so, so the new leader need not treat an
+// unreachable (unmounted) predecessor as crashed.
+TEST_F(LeaseTest, TokenMatchedReleaseMarksNextGrantClean) {
+  auto c1 = MakeClient("c1");
+  auto c2 = MakeClient("c2");
+  auto first = c1.Acquire(dir_);
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->prev_released);  // nobody led before
+  ASSERT_TRUE(c1.Release(dir_, first->token).ok());
+  auto grant = c2.Acquire(dir_);
+  ASSERT_TRUE(grant.ok());
+  EXPECT_EQ(grant->prev_leader, "c1");
+  EXPECT_TRUE(grant->prev_released);
+}
+
+TEST_F(LeaseTest, NextGrantClearsReleasedMark) {
+  auto c1 = MakeClient("c1");
+  auto c2 = MakeClient("c2");
+  auto c3 = MakeClient("c3");
+  auto first = c1.Acquire(dir_);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(c1.Release(dir_, first->token).ok());
+  auto second = c2.Acquire(dir_);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->prev_released);
+  // c2 never releases; its tenure ends by expiry, so c3's takeover must not
+  // inherit c1's clean release.
+  SleepFor(config_.lease_period + Millis(50));
+  auto third = c3.Acquire(dir_);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->prev_leader, "c2");
+  EXPECT_FALSE(third->prev_released);
+}
+
+TEST_F(LeaseTest, StaleTokenReleaseIsNotClean) {
+  auto c1 = MakeClient("c1");
+  auto c2 = MakeClient("c2");
+  auto c3 = MakeClient("c3");
+  auto old_grant = c1.Acquire(dir_);
+  ASSERT_TRUE(old_grant.ok());
+  SleepFor(config_.lease_period + Millis(50));
+  auto taken = c2.Acquire(dir_);  // expiry takeover, new token
+  ASSERT_TRUE(taken.ok());
+  // c1's late release names the tenure c2 replaced: ignored outright.
+  ASSERT_TRUE(c1.Release(dir_, old_grant->token).ok());
+  EXPECT_TRUE(IsRedirect(c3.Acquire(dir_).status()));
+  SleepFor(config_.lease_period + Millis(50));
+  auto grant = c3.Acquire(dir_);
+  ASSERT_TRUE(grant.ok());
+  EXPECT_EQ(grant->prev_leader, "c2");
+  EXPECT_FALSE(grant->prev_released);
+}
+
+TEST_F(LeaseTest, RecoveredTenureIsNotClean) {
+  auto c1 = MakeClient("c1");
+  auto c2 = MakeClient("c2");
+  auto c3 = MakeClient("c3");
+  auto first = c1.Acquire(dir_);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(c1.Release(dir_, first->token).ok());
+  // c2 leads through a recovery instead of a grant, then lets the lease
+  // lapse: c1's clean release says nothing about how c2's tenure ended.
+  ASSERT_TRUE(c2.BeginRecovery(dir_).ok());
+  ASSERT_TRUE(c2.EndRecovery(dir_).ok());
+  SleepFor(config_.lease_period + Millis(50));
+  auto grant = c3.Acquire(dir_);
+  ASSERT_TRUE(grant.ok());
+  EXPECT_EQ(grant->prev_leader, "c2");
+  EXPECT_FALSE(grant->prev_released);
+}
+
+TEST_F(LeaseTest, ManagerFailoverForgetsCleanRelease) {
+  auto c1 = MakeClient("c1");
+  auto first = c1.Acquire(dir_);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(c1.Release(dir_, first->token).ok());
+  manager_->Restart();  // lease state lost, new epoch, quiet period
+  auto patient = MakeClient("c2");
+  auto grant = patient.Acquire(dir_);
+  ASSERT_TRUE(grant.ok());
+  EXPECT_TRUE(grant->prev_leader.empty());
+  EXPECT_FALSE(grant->prev_released);
 }
 
 TEST_F(LeaseTest, ReleaseByNonHolderIgnored) {
@@ -306,6 +394,7 @@ constexpr std::size_t kAcquireRequestV2Ext = 1 + 8;       // flag + watermark
 constexpr std::size_t kAcquireRequestV3Ext = 4;           // tenant
 constexpr std::size_t kAcquireResponseV2Ext = 8 + 1 + 8;  // wm + flag + until
 constexpr std::size_t kAcquireResponseV3Ext = 8;          // retry_after_ns
+constexpr std::size_t kAcquireResponseV4Ext = 1;          // prev_released
 
 TEST(LeaseWireTest, AcquireRequestCodec) {
   AcquireRequest req;
@@ -375,8 +464,10 @@ TEST(LeaseWireTest, AcquireResponseCodec) {
   resp.deleg = true;
   resp.deleg_until_ns = 987654321;
   resp.retry_after_ns = 2500000;
-  ExpectVersionTolerantCodec(resp,
-                             {kAcquireResponseV2Ext, kAcquireResponseV3Ext});
+  resp.prev_released = true;
+  ExpectVersionTolerantCodec(resp, {kAcquireResponseV2Ext,
+                                    kAcquireResponseV3Ext,
+                                    kAcquireResponseV4Ext});
   auto copy = AcquireResponse::Decode(resp.Encode());
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->outcome, resp.outcome);
@@ -389,6 +480,7 @@ TEST(LeaseWireTest, AcquireResponseCodec) {
   EXPECT_TRUE(copy->deleg);
   EXPECT_EQ(copy->deleg_until_ns, 987654321);
   EXPECT_EQ(copy->retry_after_ns, 2500000);
+  EXPECT_TRUE(copy->prev_released);
 }
 
 TEST(LeaseWireTest, AcquireResponseLegacyFrameParses) {
@@ -401,9 +493,10 @@ TEST(LeaseWireTest, AcquireResponseLegacyFrameParses) {
   resp.deleg = true;
   resp.deleg_until_ns = 777;
   resp.retry_after_ns = 999;
+  resp.prev_released = true;
   Bytes encoded = resp.Encode();
   encoded.resize(encoded.size() - kAcquireResponseV2Ext -
-                 kAcquireResponseV3Ext);
+                 kAcquireResponseV3Ext - kAcquireResponseV4Ext);
   auto legacy = AcquireResponse::Decode(encoded);
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(legacy->outcome, resp.outcome);
@@ -413,6 +506,7 @@ TEST(LeaseWireTest, AcquireResponseLegacyFrameParses) {
   EXPECT_FALSE(legacy->deleg);        // defaulted: no phantom delegation
   EXPECT_EQ(legacy->deleg_until_ns, 0);
   EXPECT_EQ(legacy->retry_after_ns, 0);
+  EXPECT_FALSE(legacy->prev_released);
 }
 
 TEST(LeaseWireTest, AcquireResponseV2FrameDefaultsRetryAfter) {
@@ -425,8 +519,10 @@ TEST(LeaseWireTest, AcquireResponseV2FrameDefaultsRetryAfter) {
   resp.deleg = true;
   resp.deleg_until_ns = 333;
   resp.retry_after_ns = 555;  // must NOT survive the truncation
+  resp.prev_released = true;  // nor this
   Bytes encoded = resp.Encode();
-  encoded.resize(encoded.size() - kAcquireResponseV3Ext);
+  encoded.resize(encoded.size() - kAcquireResponseV3Ext -
+                 kAcquireResponseV4Ext);
   auto v2 = AcquireResponse::Decode(encoded);
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2->outcome, resp.outcome);
@@ -434,6 +530,29 @@ TEST(LeaseWireTest, AcquireResponseV2FrameDefaultsRetryAfter) {
   EXPECT_TRUE(v2->deleg);
   EXPECT_EQ(v2->deleg_until_ns, 333);
   EXPECT_EQ(v2->retry_after_ns, 0);
+  EXPECT_FALSE(v2->prev_released);
+}
+
+TEST(LeaseWireTest, AcquireResponseV3FrameDefaultsPrevReleased) {
+  // A frame from a pre-handoff-bit (v3) manager stops before the v4 block:
+  // the QoS hint survives and the grant never claims a clean release.
+  AcquireResponse resp;
+  resp.outcome = AcquireOutcome::kGranted;
+  resp.prev_leader = "c1";
+  resp.retry_after_ns = 777;
+  resp.prev_released = true;  // must NOT survive the truncation
+  Bytes encoded = resp.Encode();
+  encoded.resize(encoded.size() - kAcquireResponseV4Ext);
+  auto v3 = AcquireResponse::Decode(encoded);
+  ASSERT_TRUE(v3.ok());
+  EXPECT_EQ(v3->prev_leader, "c1");
+  EXPECT_EQ(v3->retry_after_ns, 777);
+  EXPECT_FALSE(v3->prev_released);
+
+  // The flag byte is strict: only 0 and 1 decode.
+  Bytes bad = resp.Encode();
+  bad.back() = 2;
+  EXPECT_FALSE(AcquireResponse::Decode(bad).ok());
 }
 
 // Manager-side admission control sheds IN-BAND: a throttled tenant gets a
