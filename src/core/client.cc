@@ -138,7 +138,8 @@ Client::DirHandlePtr Client::HandleFor(const Uuid& dir_ino) {
   return slot;
 }
 
-Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
+Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino,
+                                                bool need_lease) {
   DirHandlePtr handle = HandleFor(dir_ino);
   {
     std::shared_lock lock(handle->mu);
@@ -148,6 +149,12 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
     if (handle->leader && !handle->lame_duck && now < handle->lease_until &&
         handle->lease_until - now > handle->lease_duration / 4) {
       return DirRef{handle, {}};
+    }
+    // Until the hinted leader's lease can lapse nobody else can lead: route
+    // there without a manager round trip. The leader validates every
+    // forwarded op against its own lease, so a stale hint costs one retry.
+    if (!handle->leader && !need_lease && now < handle->hint_until) {
+      return DirRef{nullptr, handle->leader_hint, /*hinted=*/true};
     }
   }
   // Not (or no longer) leader: try to acquire the lease. A leader renewal
@@ -172,14 +179,21 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
       handle->lease_until = std::max(handle->lease_until, grant->until);
     }
     handle->lame_duck = false;
+    handle->hint_until = {};
     return DirRef{handle, {}};
   }
   if (lease::IsRedirect(grant.status())) {
     lease_redirects_.Add();
+    TimePoint hint_until = deleg.leader_until;
     if (deleg.granted) {
-      DelegAdopt(dir_ino, grant.status().detail(), deleg);
+      DelegAdopt(dir_ino, deleg);
+      // Delegation refresh rides on the redirect, so the hint ends with it.
+      hint_until = std::min(hint_until, deleg.until);
     }
-    return DirRef{nullptr, grant.status().detail()};
+    std::unique_lock lock(handle->mu);
+    handle->leader_hint = grant.status().detail();
+    handle->hint_until = hint_until;
+    return DirRef{nullptr, handle->leader_hint};
   }
   if (grant.code() == Errc::kTimedOut || grant.code() == Errc::kBusy) {
     // Renewal failed outright (manager unreachable/overloaded) but our
@@ -347,6 +361,12 @@ Status Client::RelinquishDir(const Uuid& dir_ino) {
   handle->fence = FenceToken{};
   lock.unlock();
   return lease_->Release(dir_ino, token);
+}
+
+void Client::DropLeaderHint(const Uuid& dir_ino) {
+  DirHandlePtr handle = HandleFor(dir_ino);
+  std::unique_lock lock(handle->mu);
+  handle->hint_until = {};
 }
 
 void Client::HandleDeposed(const Uuid& dir_ino) {

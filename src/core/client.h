@@ -253,6 +253,12 @@ class Client : public Vfs {
     // inode + shards + journal probe in one store round trip.
     std::uint32_t shard_hint = 1;
     std::unordered_map<Uuid, FileLeaseInfo> file_leases;
+    // Non-leader route cache: the leader the last redirect named, used
+    // without asking the manager until `hint_until` (that leader's lease
+    // expiry, or the delegation's if earlier). RunDirOp drops it on any
+    // forwarded reply that says the route is stale.
+    std::string leader_hint;
+    TimePoint hint_until{};
   };
   using DirHandlePtr = std::shared_ptr<DirHandle>;
 
@@ -260,6 +266,7 @@ class Client : public Vfs {
   struct DirRef {
     DirHandlePtr local;   // set if this client leads the directory
     std::string remote;   // else: the leader's address
+    bool hinted = false;  // `remote` came from the leader hint
   };
 
   // --- read delegations (client_deleg.cc) ---
@@ -284,7 +291,6 @@ class Client : public Vfs {
     std::uint64_t watermark = 0;  // newest leader watermark observed
     TimePoint until{};            // hard expiry: one lease term past the
                                   // watermark report the grant rests on
-    std::string leader;
     TimePoint last_fetch{};           // refetch-pacing clock
     // Quiet detector: the dir counts as quiet only when two forwarded
     // replies at least deleg_quiet_before_refetch apart reported the SAME
@@ -310,7 +316,7 @@ class Client : public Vfs {
   bool DelegatedServe(const Uuid& dir_ino, const std::string& leader,
                       const wire::DirOpRequest& req, wire::DirOpResponse* out);
   // Records a delegation granted alongside a lease redirect.
-  void DelegAdopt(const Uuid& dir_ino, const std::string& leader,
+  void DelegAdopt(const Uuid& dir_ino,
                   const lease::LeaseClient::Delegation& deleg);
   // Folds the {fence, watermark} stamp piggybacked on a leader-served reply
   // into the delegation cache: a moved watermark strands the slice (next
@@ -355,7 +361,10 @@ class Client : public Vfs {
   Status Start();
 
   // --- directory access / lease flows (client.cc) ---
-  Result<DirRef> EnsureDirAccess(const Uuid& dir_ino);
+  // `need_lease`: the caller must lead the directory, so a cached leader
+  // hint does not answer for the manager.
+  Result<DirRef> EnsureDirAccess(const Uuid& dir_ino, bool need_lease = false);
+  void DropLeaderHint(const Uuid& dir_ino);
   Status BecomeLeader(const DirHandlePtr& handle,
                       const lease::LeaseClient::Grant& grant);
   // Builds the metatable; with `preloaded` (one LoadDirObjects batch) no

@@ -53,7 +53,7 @@ bool Client::IsStatFamily(wire::DirOp op) {
   }
 }
 
-void Client::DelegAdopt(const Uuid& dir_ino, const std::string& leader,
+void Client::DelegAdopt(const Uuid& dir_ino,
                         const lease::LeaseClient::Delegation& deleg) {
   std::lock_guard lock(deleg_mu_);
   DirDelegation& d = delegations_[dir_ino];
@@ -71,7 +71,6 @@ void Client::DelegAdopt(const Uuid& dir_ino, const std::string& leader,
     d.last_obs_at = Now();
   }
   d.until = deleg.until;  // manager-authoritative: watermark report + term
-  d.leader = leader;
 }
 
 void Client::DelegObserve(const Uuid& dir_ino, const FenceToken& fence,
@@ -338,6 +337,18 @@ Status Client::LeaderDelegateFetch(DirHandle& dir, wire::DirOpResponse* out) {
 std::string Client::DelegDumpText() {
   std::ostringstream os;
   const TimePoint now = Now();
+  // Each delegation's leader is the handle's leader hint. Handle locks are
+  // taken one at a time with neither dirs_mu_ nor deleg_mu_ held.
+  std::vector<DirHandlePtr> handles;
+  {
+    std::lock_guard lock(dirs_mu_);
+    for (const auto& [ino, handle] : dirs_) handles.push_back(handle);
+  }
+  std::unordered_map<Uuid, std::string> hints;
+  for (const DirHandlePtr& handle : handles) {
+    std::shared_lock lock(handle->mu);
+    if (now < handle->hint_until) hints[handle->ino] = handle->leader_hint;
+  }
   {
     std::lock_guard lock(deleg_mu_);
     os << "delegations held: " << delegations_.size() << "\n";
@@ -345,7 +356,9 @@ std::string Client::DelegDumpText() {
       const auto ttl_ms =
           std::chrono::duration_cast<std::chrono::milliseconds>(d.until - now)
               .count();
-      os << "  dir " << ino.ToString() << " leader=" << d.leader << " token={"
+      auto hint = hints.find(ino);
+      os << "  dir " << ino.ToString() << " leader="
+         << (hint == hints.end() ? "-" : hint->second) << " token={"
          << d.token.epoch << "," << d.token.seq << "}"
          << " leader_watermark=" << d.watermark << " slice=";
       if (d.slice) {

@@ -67,11 +67,13 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
   // replaces the fixed backoff for the next attempt (capped so a bogus hint
   // cannot stall the loop).
   Nanos retry_sleep = config_.op_retry_backoff;
+  // Set when the last attempt only found a stale leader hint: re-resolve
+  // through the manager at once, a stale route is not contention.
+  bool reroute = false;
   for (int attempt = 0; attempt < config_.op_retries; ++attempt) {
-    if (attempt > 0) {
-      SleepFor(retry_sleep);
-      retry_sleep = config_.op_retry_backoff;
-    }
+    if (attempt > 0 && !reroute) SleepFor(retry_sleep);
+    retry_sleep = config_.op_retry_backoff;
+    reroute = false;
     auto ref = EnsureDirAccess(dir_ino);
     if (!ref.ok()) {
       last = ref.status();
@@ -113,9 +115,12 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
     if (IsStatFamily(req.op)) stat_forwarded_.Add();
     auto raw = fabric_->Call(ref->remote, wire::kMethodDirOp, req.Encode());
     if (!raw.ok()) {
-      // Leader unreachable (crash): wait for its lease to expire, then the
-      // next EnsureDirAccess attempt takes over and recovers.
+      // Leader unreachable (crash or unmount): ask the manager again. A
+      // crashed leader keeps its lease until expiry, then the next
+      // EnsureDirAccess attempt takes over and recovers.
       last = raw.status();
+      DropLeaderHint(dir_ino);
+      reroute = ref->hinted;
       continue;
     }
     auto resp = wire::DirOpResponse::Decode(*raw);
@@ -123,11 +128,19 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
     // Fold the reply's {fence, watermark} stamp into the delegation cache
     // so a delegate that just forwarded a mutation reads its own write.
     DelegObserve(dir_ino, resp->fence, resp->watermark);
+    if (resp->code == Errc::kAgain || resp->code == Errc::kStale) {
+      // Not the leader (any more), lame duck, or throttled: the next attempt
+      // asks the manager who leads (DESIGN.md §4.4, Leader hints, says why
+      // a throttled reply counts too).
+      DropLeaderHint(dir_ino);
+    }
     if (resp->code == Errc::kAgain) {
       last = resp->ToStatus();
       Nanos hint{};
       if (ParseRetryAfterHint(resp->detail, &hint)) {
         retry_sleep = std::min<Nanos>(hint, Millis(500));
+      } else {
+        reroute = ref->hinted;
       }
       continue;  // leader's lease lapsed mid-flight, or throttled us
     }
@@ -633,9 +646,9 @@ Status Client::Rename(const std::string& from, const std::string& to,
   DirHandlePtr src_handle, dst_handle;
   for (int attempt = 0; attempt < config_.op_retries; ++attempt) {
     if (attempt > 0) SleepFor(config_.op_retry_backoff);
-    auto sref = EnsureDirAccess(src.parent);
+    auto sref = EnsureDirAccess(src.parent, /*need_lease=*/true);
     if (!sref.ok()) return sref.status();
-    auto dref = EnsureDirAccess(dst.parent);
+    auto dref = EnsureDirAccess(dst.parent, /*need_lease=*/true);
     if (!dref.ok()) return dref.status();
     if (sref->local && dref->local) {
       src_handle = sref->local;

@@ -104,6 +104,9 @@ Result<LeaseClient::Grant> LeaseClient::Acquire(const Uuid& dir_ino,
         return grant;
       }
       case AcquireOutcome::kRedirect:
+        if (deleg != nullptr) {
+          deleg->leader_until = TimePoint(Nanos(resp.lease_until_ns));
+        }
         if (deleg != nullptr && resp.deleg) {
           deleg->granted = true;
           deleg->token = resp.token;

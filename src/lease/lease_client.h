@@ -88,17 +88,22 @@ class LeaseClient {
   // stat/lookup/readdir from a cached metatable slice no older than
   // `watermark`, valid only while the leader's tenure keeps `token` and only
   // until `until` (one lease term past the watermark report it rests on).
+  // Filled on every redirect, granted or not: `leader_until` is the live
+  // lease's expiry, until which the redirect's leader may be cached as the
+  // route (epoch = a pre-hint manager; do not cache).
   struct Delegation {
     bool granted = false;
     FenceToken token;  // the LIVE lease's fencing token (tenure identity)
     std::uint64_t watermark = 0;
     TimePoint until{};
+    TimePoint leader_until{};
   };
 
   // Acquire (or extend) the lease on dir_ino.
   //   ok            -> caller is leader; see Grant
   //   kAgain+detail -> redirect; detail() is the current leader's address
-  //                    (when deleg != null, *deleg may carry a delegation)
+  //                    (when deleg != null, *deleg carries the leader's
+  //                    lease expiry and may carry a delegation)
   //   kTimedOut     -> no manager reachable within the rpc_retry budget
   //   kBusy         -> wait budget exhausted (recovery/quiet period)
   Result<Grant> Acquire(const Uuid& dir_ino) {

@@ -494,6 +494,9 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
     redirects_.Add();
     resp.outcome = AcquireOutcome::kRedirect;
     resp.leader = l.leader;
+    // The live lease's expiry: until then no one else can lead, so the
+    // caller may route straight to `leader` without asking again.
+    resp.lease_until_ns = l.expires.time_since_epoch().count();
     resp.watermark = l.watermark;
     if (req.want_delegation && l.token.valid()) {
       // Read delegation against the live lease: the delegate may serve

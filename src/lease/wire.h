@@ -82,7 +82,9 @@ struct AcquireResponse {
   AcquireOutcome outcome = AcquireOutcome::kWait;
   std::string leader;            // kRedirect: current leader address;
                                  // kNotActive: active-manager hint
-  std::int64_t lease_until_ns = 0;  // kGranted: steady-clock expiry
+  // Steady-clock expiry. kGranted: the caller's expiry; kRedirect: the live
+  // lease's expiry, 0 = do not cache (pre-hint manager).
+  std::int64_t lease_until_ns = 0;
   // kGranted: true when the caller was also the previous leader and nobody
   // led in between — its in-memory metatable is still authoritative and need
   // not be reloaded (paper's lease-extension optimization).

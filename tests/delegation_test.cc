@@ -43,6 +43,7 @@ TEST_F(DelegationTest, HotDirStatsServeLocallyWithoutForwarding) {
 
   // Warm pass: the first delegable op adopts the delegation from the lease
   // redirect and pulls the slice from c1.
+  const auto redirects_before = c2_->stats().lease_redirects;
   for (int i = 0; i < kFiles; ++i) {
     auto st = c2_->Stat("/hot/f" + std::to_string(i), root_);
     ASSERT_TRUE(st.ok());
@@ -50,9 +51,13 @@ TEST_F(DelegationTest, HotDirStatsServeLocallyWithoutForwarding) {
   }
   ASSERT_GT(c2_->stats().stat_delegated, 0u);
   ASSERT_GT(c2_->stats().deleg_refetches, 0u);
+  // One manager redirect per directory ("/" and /hot); the leader hint
+  // routes every later op.
+  const auto redirects_warm = c2_->stats().lease_redirects;
+  EXPECT_EQ(redirects_warm, redirects_before + 2);
 
   // Steady state: every stat and readdir is served from the cached slice —
-  // zero DirOp forwards to the leader.
+  // zero DirOp forwards to the leader, and zero lease manager calls.
   const auto fwd_before = c2_->stats().forwarded_ops;
   const auto deleg_before = c2_->stats().stat_delegated;
   const auto leader_served_before = c1_->stats().served_remote_ops;
@@ -70,6 +75,7 @@ TEST_F(DelegationTest, HotDirStatsServeLocallyWithoutForwarding) {
   EXPECT_GE(c2_->stats().stat_delegated, deleg_before + 10 * kFiles);
   // The leader did not see any of those reads: zero fabric round trips.
   EXPECT_EQ(c1_->stats().served_remote_ops, leader_served_before);
+  EXPECT_EQ(c2_->stats().lease_redirects, redirects_warm);
 }
 
 TEST_F(DelegationTest, NewNamesVisibleImmediatelyDespiteDelegation) {

@@ -324,6 +324,30 @@ TEST_F(LeaseTest, RedirectGrantsDelegationWithLeaderWatermark) {
   EXPECT_FALSE(unasked.granted);
 }
 
+// A redirect names the live lease's expiry, so a non-leader can route to
+// the leader without asking again until that lease could lapse.
+TEST_F(LeaseTest, RedirectReportsLiveLeaseExpiry) {
+  auto c1 = MakeClient("c1");
+  auto c2 = MakeClient("c2");
+  auto grant = c1.Acquire(dir_);
+  ASSERT_TRUE(grant.ok());
+
+  LeaseClient::Delegation redirect;
+  auto redirected = c2.Acquire(dir_, LeaseClient::AcquireOptions{}, &redirect);
+  ASSERT_TRUE(IsRedirect(redirected.status()));
+  EXPECT_FALSE(redirect.granted);  // no delegation asked for, expiry still set
+  EXPECT_EQ(redirect.leader_until, grant->until);
+
+  // The leader's renewal moves the expiry; the next redirect reports it.
+  SleepFor(Millis(5));
+  auto renewed = c1.Acquire(dir_);
+  ASSERT_TRUE(renewed.ok());
+  ASSERT_GT(renewed->until, grant->until);
+  LeaseClient::Delegation later;
+  ASSERT_FALSE(c2.Acquire(dir_, LeaseClient::AcquireOptions{}, &later).ok());
+  EXPECT_EQ(later.leader_until, renewed->until);
+}
+
 // --- wire-codec hardening -------------------------------------------------
 //
 // Lease grants are the root of all fencing decisions, so every message must
@@ -481,6 +505,17 @@ TEST(LeaseWireTest, AcquireResponseCodec) {
   EXPECT_EQ(copy->deleg_until_ns, 987654321);
   EXPECT_EQ(copy->retry_after_ns, 2500000);
   EXPECT_TRUE(copy->prev_released);
+
+  // A redirect carries the live lease's expiry in the same field.
+  AcquireResponse redirect;
+  redirect.outcome = AcquireOutcome::kRedirect;
+  redirect.leader = "c2";
+  redirect.lease_until_ns = 555666777;
+  auto redirect_copy = AcquireResponse::Decode(redirect.Encode());
+  ASSERT_TRUE(redirect_copy.ok());
+  EXPECT_EQ(redirect_copy->outcome, AcquireOutcome::kRedirect);
+  EXPECT_EQ(redirect_copy->leader, "c2");
+  EXPECT_EQ(redirect_copy->lease_until_ns, 555666777);
 }
 
 TEST(LeaseWireTest, AcquireResponseLegacyFrameParses) {
